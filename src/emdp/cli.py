@@ -24,7 +24,7 @@ import numpy as np
 
 from .audit import verify_emd_dp, verify_item_metric_dp
 from .budget import MetricBudget
-from .experiments import run_experiment
+from .experiments import _parse_clustered, run_experiment
 from .frequency import (
     freq_est_central,
     freq_est_local,
@@ -47,8 +47,7 @@ from .transport import Histogram, Multiset, emd, multiset_from_csv, multisets_by
 def parse_space(spec: str) -> tuple[MetricSpace, ClusteredSpace | None]:
     """Resolve a space argument to (space, clustered parameters or None)."""
     if spec.startswith("clustered:"):
-        s, t, r = spec.split(":", 1)[1].split(",")
-        params = ClusteredSpace(int(s), int(t), float(r))
+        params = _parse_clustered(spec)
         return params.space(), params
     if not os.path.exists(spec):
         raise ValueError(f"space file not found: {spec}")

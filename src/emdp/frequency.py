@@ -266,27 +266,12 @@ def operator_norm_1_2(mat: np.ndarray) -> float:
     return float(np.sqrt((mat * mat).sum(axis=0).max()))
 
 
-def spectral_norm(mat: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on the Gram matrix."""
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value (the 2->2 operator norm), computed by SVD."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         raise ValueError("matrix must be nonempty")
-    gram = mat.T @ mat if mat.shape[0] >= mat.shape[1] else mat @ mat.T
-    # Deterministic start with a mild ramp so no eigenvector is orthogonal
-    # to it by symmetry.
-    v = 1.0 + np.arange(gram.shape[0]) / (gram.shape[0] + 1.0)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - prev) <= rtol * norm:
-            break
-        prev = norm
-    return float(math.sqrt(norm))
+    return float(np.linalg.norm(mat, 2))
 
 
 def freq_error_bound(inverse: np.ndarray, s: int, t: int, r: float, m: int, n: int) -> float:

@@ -47,7 +47,12 @@ class LinearQuery:
     def value(self, data: Union[Multiset, Histogram, np.ndarray]) -> np.ndarray:
         """Exact query value F @ K_tilde."""
         if isinstance(data, Multiset):
-            mass = data.normalize().mass
+            # Same values as data.normalize().mass, without building and
+            # re-validating a Histogram on every call.
+            size = data.size
+            if size == 0:
+                raise ValueError("cannot normalize an empty multiset")
+            mass = data.counts / size
         elif isinstance(data, Histogram):
             mass = data.mass
         else:

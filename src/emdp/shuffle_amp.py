@@ -10,9 +10,10 @@ the release itself, the amplification bound
                            * (8*sqrt(e^alpha0 * ln(4*x0/delta)) / sqrt(m)
                               + 8*e^alpha0 / m)),
 
-the effective budget (alpha_eff = sup_w h(.; m, m*w)/w, delta_eff =
-delta * e^{h(.; m, m)}), exact and closed-form calibration of the per-item
-level alpha0 for a target budget, and the naive composition baseline.
+the effective budget (alpha_eff = sup_w h(.; m, m*w)/w, the w -> 0 slope,
+and delta_eff = delta * e^{h(.; m, m)}), exact and closed-form calibration
+of the per-item level alpha0 for a target budget, and the naive composition
+baseline.
 
 The bound is valid when alpha0 < ln(M / (16 * ln(4*M/delta))), M being the
 number of shuffled reports (m locally, m*n in the central model). Callers
@@ -29,7 +30,7 @@ import numpy as np
 from .budget import MetricBudget
 from .metric_space import MetricSpace
 from .rng import SeedLike, make_rng
-from .transport import Multiset
+from .transport import Multiset, _require_same_space
 
 _ROW_ATOL = 1e-12
 _CERT_RTOL = 1e-9
@@ -95,7 +96,13 @@ class TransitionMechanism:
 
 @dataclass(frozen=True)
 class AmplificationResult:
-    """Amplified budget with the maximizing transport fraction w."""
+    """Amplified budget of the shuffled item-wise release.
+
+    ``w_star`` is the transport fraction attaining the supremum that defines
+    ``alpha_eff``. That supremum is always the w -> 0 limit (see
+    ``effective_budget``), so ``w_star`` is always 0.0; the field stays
+    because ``emdp calibrate`` prints it as a CSV column.
+    """
 
     alpha_eff: float
     delta_eff: float
@@ -113,10 +120,7 @@ def priv_emd_itemwise(data: Multiset, mech: TransitionMechanism, seed: SeedLike 
     """
     if data.size == 0:
         raise ValueError("dataset is empty")
-    if data.space is not mech.space and (
-        data.space.size != mech.space.size or not np.array_equal(data.space.dist, mech.space.dist)
-    ):
-        raise ValueError("dataset and channel live on different spaces")
+    _require_same_space(data, mech)
     items = data.items()
     rng = make_rng(seed)
     cdf = np.cumsum(mech.matrix[items], axis=1)
@@ -182,10 +186,12 @@ def effective_budget(
     """Amplified (alpha_eff, delta_eff) for the shuffled item-wise release.
 
     alpha_eff = sup over w in [0, 1] of h(M; m, m*w) / w with M = m (local)
-    or m*n (central); delta_eff = delta * e^{h(M; m, m)}. The supremum is
-    located on a dense grid with golden-section refinement, and the w -> 0
-    endpoint is the analytic limit m * (alpha0/2) * noise_floor. A delta_eff
-    of 1 or more is reported raw with a warning status rather than clamped.
+    or m*n (central); delta_eff = delta * e^{h(M; m, m)}. The supremum has
+    a closed form: w -> m * ln(1 + tanh(alpha0*w/2) * F), with F the noise
+    floor, is concave and vanishes at 0, so its ratio to w never increases
+    in w and the supremum is the slope at 0, m * (alpha0/2) * F, attained at
+    w_star = 0. A delta_eff of 1 or more is reported raw with a warning
+    status rather than clamped.
     """
     if model not in ("local", "central"):
         raise ValueError("model must be 'local' or 'central'")
@@ -199,42 +205,14 @@ def effective_budget(
             f"amplification inapplicable: alpha0={alpha0} >= "
             f"{applicability_bound(shuffled, delta):.6g} for {shuffled} shuffled reports"
         )
-    floor = _noise_floor(shuffled, m, alpha0, delta)
-
-    def ratio(w: np.ndarray | float) -> np.ndarray | float:
-        return m * np.log1p(np.tanh(alpha0 * np.asarray(w) / 2.0) * floor) / np.asarray(w)
-
-    limit0 = m * (alpha0 / 2.0) * floor
-    ws = np.linspace(0.0, 1.0, 10_001)[1:]
-    values = ratio(ws)
-    best = int(np.argmax(values))
-    lo = ws[best - 1] if best > 0 else 1e-12
-    hi = ws[best + 1] if best + 1 < ws.size else 1.0
-    # Golden-section refinement around the best grid cell.
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = ratio(c), ratio(d)
-    for _ in range(80):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = ratio(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = ratio(d)
-    refined_w = (a + b) / 2.0
-    refined = ratio(refined_w)
-    candidates = [(limit0, 0.0), (float(values[best]), float(ws[best])), (float(refined), float(refined_w))]
-    alpha_eff, w_star = max(candidates, key=lambda t: t[0])
+    alpha_eff = m * (alpha0 / 2.0) * _noise_floor(shuffled, m, alpha0, delta)
     exponent = h_bound(shuffled, m, m, alpha0, delta, enforce_condition=False)
     try:
         delta_eff = delta * math.exp(exponent)
     except OverflowError:
         delta_eff = math.inf
     status = "ok" if delta_eff < 1.0 else "delta-exceeds-one"
-    return AmplificationResult(float(alpha_eff), float(delta_eff), w_star, status)
+    return AmplificationResult(alpha_eff, delta_eff, 0.0, status)
 
 
 def calibrate_alpha0(
@@ -246,8 +224,8 @@ def calibrate_alpha0(
 ) -> float:
     """Per-item level alpha0 achieving the target metric budget after shuffling.
 
-    Exact mode bisects on the (empirically monotone) effective budget for the
-    largest feasible alpha0; asymptotic mode evaluates the closed-form
+    Exact mode bisects on the effective budget, which increases in alpha0,
+    for the largest feasible alpha0; asymptotic mode evaluates the closed-form
     two-branch rule, whose small-budget branch is
     alpha / (32 * sqrt(m * ln(4*m*e^alpha / delta))) locally, with alpha
     replaced by alpha * sqrt(n) in the central model.

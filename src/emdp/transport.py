@@ -127,12 +127,14 @@ class Matching:
     cost: float
 
 
-def _require_same_space(p: Histogram, q: Histogram) -> MetricSpace:
+def _require_same_space(p, q) -> MetricSpace:
+    # Shared space of two objects with a ``space`` attribute (histograms,
+    # multisets, channels); equal distance tables count as the same space.
     if p.space is q.space:
         return p.space
     if p.space.size == q.space.size and np.array_equal(p.space.dist, q.space.dist):
         return p.space
-    raise ValueError("histograms live on different metric spaces")
+    raise ValueError("inputs live on different metric spaces")
 
 
 def _balanced(mass: np.ndarray) -> np.ndarray:

@@ -255,6 +255,12 @@ def test_spectral_norm_against_eig_oracle(rng):
     m = rng.standard_normal((5, 7))
     gram_eigs = np.linalg.eigvalsh(m @ m.T)
     assert spectral_norm(m) == pytest.approx(math.sqrt(gram_eigs.max()), abs=1e-8)
+    # Nearly tied top singular values, a slow case for iterative methods.
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    near = u[:, :4] @ np.diag([1.0, 1.0 - 1e-5, 0.5, 0.1]) @ v.T
+    top = np.linalg.svd(near, compute_uv=False)[0]
+    assert spectral_norm(near) == pytest.approx(top, rel=1e-12)
 
 
 def test_error_bound_identity_inverse_is_zero():

@@ -81,6 +81,16 @@ def test_itemwise_rejects_empty():
         priv_emd_itemwise(Multiset(space, np.array([0, 0])), mech, seed=0)
 
 
+def test_itemwise_requires_the_channel_space():
+    mech = near_identity_mechanism(build_clustered(2, 2, 0.3))
+    # An equal distance table counts as the same space.
+    same = Multiset(build_clustered(2, 2, 0.3), np.array([1, 0, 0, 1]))
+    assert priv_emd_itemwise(same, mech, seed=0).size == 2
+    other = Multiset(build_clustered(2, 2, 0.4), np.array([1, 0, 0, 1]))
+    with pytest.raises(ValueError, match="different metric spaces"):
+        priv_emd_itemwise(other, mech, seed=0)
+
+
 def test_h_bound_zero_cases():
     assert h_bound(1000, 1000, 0.0, 0.3, 1e-6) == 0.0
     assert h_bound(1000, 1000, 500.0, 0.0, 1e-6) == 0.0
@@ -135,14 +145,21 @@ def test_effective_budget_monotone_in_alpha0():
 
 
 def test_effective_budget_matches_small_w_limit():
-    # h(.; m, m*w)/w is concave through the origin in w, so the supremum is
-    # its slope at zero.
-    alpha0, delta, m, n = 1.5, 1e-12, 1000, 100000
-    res = effective_budget(alpha0, delta, m, n, "central")
-    floor = 8 * math.sqrt(math.exp(alpha0) * math.log(4 * m / delta)) / math.sqrt(m * n)
-    floor += 8 * math.exp(alpha0) / (m * n)
-    assert res.alpha_eff == pytest.approx(m * alpha0 / 2 * floor, rel=1e-9)
-    assert res.w_star == pytest.approx(0.0, abs=1e-6)
+    # h(.; m, m*w) is concave in w and vanishes at 0, so h/w never increases
+    # and the supremum is its slope at zero, attained at w = 0.
+    cases = [
+        # (alpha0, delta, m, n, model, enforce_condition)
+        (1.5, 1e-12, 1000, 100000, "central", True),
+        (1e-12, 1e-3, 1000, 1, "local", True),
+        (0.5, 0.05, 2, 1, "local", False),
+    ]
+    for alpha0, delta, m, n, model, enforce in cases:
+        res = effective_budget(alpha0, delta, m, n, model, enforce_condition=enforce)
+        shuffled = m * n if model == "central" else m
+        floor = 8 * math.sqrt(math.exp(alpha0) * math.log(4 * m / delta)) / math.sqrt(shuffled)
+        floor += 8 * math.exp(alpha0) / shuffled
+        assert res.alpha_eff == pytest.approx(m * alpha0 / 2 * floor, rel=1e-15), (alpha0, m, model)
+        assert res.w_star == 0.0
 
 
 def test_effective_budget_delta_warning():
